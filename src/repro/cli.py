@@ -217,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BACKEND",
         help=(
             "how each simulation's proxy tier executes: 'serial' (one "
-            "event loop, default) or 'parallel' (per-shard event loops in "
-            "worker processes, conservative lookahead windows; "
-            "bit-identical to serial — configs whose cross-node channels "
-            "carry zero lookahead fall back to the serial loop with a "
-            "warning).  Composes with --jobs; the oversubscription guard "
+            "event loop, default) or 'parallel' (each independent proxy "
+            "node's event loop in a worker process; bit-identical to "
+            "serial — configs that couple nodes fall back to the serial "
+            "loop with a warning).  Composes with --jobs; the "
+            "oversubscription guard "
             "caps node_workers x jobs at the core count"
         ),
     )

@@ -35,10 +35,32 @@ from dataclasses import replace
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.network.topology import CooperationConfig, TopologyConfig
 from repro.sim.config import SimulationConfig
-from repro.sim.faults import FaultEvent, FaultSchedule, FaultSegment
+from repro.sim.faults import (
+    FaultEvent,
+    FaultSchedule,
+    FaultTimelineRow,
+    segments_from_rows,
+    tier_counters,
+)
 from repro.workload.sessions import WorkloadSpec
 
 __all__ = ["FailureRecoveryExperiment"]
+
+
+def _window_row(time: float, sim) -> FaultTimelineRow:
+    """A fault-free run's tier counters at ``time``, as a timeline row
+    labelled ``window`` (the baseline twin of a fault instant's row)."""
+    requests, hits, access_total, origin_bytes = tier_counters(sim)
+    return FaultTimelineRow(
+        time=time,
+        kind="window",
+        node=-1,
+        requests=requests,
+        hits=hits,
+        access_total=access_total,
+        alive=(),
+        origin_bytes=origin_bytes,
+    )
 
 
 @register
@@ -106,44 +128,6 @@ class FailureRecoveryExperiment(Experiment):
             ("cooperative", FaultSchedule(events=events, migration="cooperative")),
         ]
 
-    @staticmethod
-    def _counters(sim) -> tuple[int, int, float, float]:
-        requests = hits = 0
-        access_total = 0.0
-        origin_bytes = 0.0
-        for node in sim.nodes:
-            r, h, a = node.collector.timeline_counters()
-            requests += r
-            hits += h
-            access_total += a
-            origin_bytes += node.link.demand_bytes + node.link.prefetch_bytes
-        return requests, hits, access_total, origin_bytes
-
-    @staticmethod
-    def _segments_from_samples(samples) -> tuple[FaultSegment, ...]:
-        """Baseline twin of :meth:`RunKPIs.fault_segments`: cut the
-        fault-free run's cumulative counters at the same instants."""
-        segments = []
-        prev_t, prev_r, prev_h, prev_a, prev_o = 0.0, 0, 0, 0.0, 0.0
-        for t, r, h, a, o in samples:
-            d_req = r - prev_r
-            segments.append(
-                FaultSegment(
-                    start=prev_t,
-                    end=t,
-                    kind="window",
-                    node=-1,
-                    requests=d_req,
-                    hits=h - prev_h,
-                    mean_access_time=(
-                        (a - prev_a) / d_req if d_req else float("nan")
-                    ),
-                    origin_bytes=o - prev_o,
-                )
-            )
-            prev_t, prev_r, prev_h, prev_a, prev_o = t, r, h, a, o
-        return tuple(segments)
-
     def _execute(self, *, fast: bool = False) -> ExperimentResult:
         from repro.sim.simulation import Simulation
 
@@ -168,24 +152,20 @@ class FailureRecoveryExperiment(Experiment):
         for name, schedule in variants:
             config = base if schedule is None else replace(base, faults=schedule)
             sim = Simulation(config)
-            samples: list[tuple[float, int, int, float]] = []
+            samples: list[FaultTimelineRow] = []
             if schedule is None and fault_times:
                 # Sample the fault-free run at the SAME instants, so every
                 # faulted segment has a like-for-like baseline window.
                 def snap(event, _samples=samples, _sim=sim):
-                    _samples.append(
-                        (_sim.env.now,) + self._counters(_sim)
-                    )
+                    _samples.append(_window_row(_sim.env.now, _sim))
 
                 for t in fault_times:
                     sim.env.call_at(t, snap)
             output = sim.run()
             kpis = output.kpis
             if schedule is None and fault_times:
-                samples.append(
-                    (base.duration,) + self._counters(sim)
-                )
-                segments = self._segments_from_samples(samples)
+                samples.append(_window_row(base.duration, sim))
+                segments = segments_from_rows(samples, first="window")
             else:
                 segments = kpis.fault_segments()
             segments_by_variant[name] = segments

@@ -102,15 +102,14 @@ class SimulationConfig:
         How the proxy tier's event loops execute.  ``serial`` (default)
         runs the whole tier on one :class:`~repro.des.environment.
         Environment` — every earlier PR's behaviour.  ``parallel`` gives
-        each shard group of :class:`~repro.sim.node.ProxyNode` instances
-        its own event loop in a worker process, synchronized by the
-        conservative lookahead-window protocol of
-        :mod:`repro.sim.parallel` — and is **bit-identical** to serial
-        for every topology and cooperation mode: configurations whose
-        cross-node channels carry zero lookahead (item-hash routing,
-        cooperative probes, stochastic lazily-sampled sizes, trace
-        replay) are detected at build time and fall back to the serial
-        loop with a warning rather than risk divergence.  See
+        each independent :class:`~repro.sim.node.ProxyNode` its own
+        event loop in a worker process (see :mod:`repro.sim.parallel`)
+        — and is **bit-identical** to serial for every topology and
+        cooperation mode: configurations that couple nodes (item-hash
+        routing, cooperative probes, stochastic lazily-sampled sizes,
+        trace replay, fault schedules) are detected at build time and
+        fall back to the serial loop with a warning rather than risk
+        divergence.  See
         ARCHITECTURE.md ("Parallel node backend").
     node_workers:
         Worker-process cap for ``node_backend="parallel"``.  ``None``
@@ -124,7 +123,7 @@ class SimulationConfig:
         topology mutations (proxy crash/recovery, elastic ring
         grow/shrink) — see :mod:`repro.sim.faults`.  ``None`` or an
         empty schedule leave the run bit-identical to a fault-free one;
-        a non-empty schedule is a zero-lookahead coupling, so the
+        a non-empty schedule couples every node, so the
         parallel node backend falls back to the serial loop (named
         ``fault-injection`` in the warning).
     """

@@ -43,7 +43,7 @@ Scope notes (modeling decisions, pinned by tests):
   scheduled, no routing closures are rebound, no RNG is touched — a
   config with ``faults=FaultSchedule([])`` is bit-identical to one with
   ``faults=None`` (pinned against the PR 9 seed metrics).
-* Fault schedules are a zero-lookahead coupling: every shard must
+* Fault schedules couple every node with zero latency: every shard must
   observe the mutation at the same instant, so
   :func:`~repro.sim.parallel.plan_node_partition` names
   ``fault-injection`` as a serial-fallback reason.
@@ -67,6 +67,8 @@ __all__ = [
     "FaultSchedule",
     "FaultTimelineRow",
     "FaultRuntime",
+    "tier_counters",
+    "segments_from_rows",
 ]
 
 FAULT_KINDS = ("proxy-fail", "proxy-recover", "ring-grow", "ring-shrink")
@@ -273,6 +275,63 @@ class FaultSegment:
     origin_bytes: float = 0.0
 
 
+def tier_counters(sim: "Simulation") -> tuple[int, int, float, float]:
+    """Tier-cumulative ``(requests, hits, access-time sum, origin bytes)``.
+
+    Pure reads of already-maintained counters, summed in node order, so
+    sampling them mid-run — at a fault instant or anywhere else — can
+    never perturb the simulation.
+    """
+    requests = hits = 0
+    access_total = 0.0
+    origin_bytes = 0.0
+    for node in sim.nodes:
+        r, h, a = node.collector.timeline_counters()
+        requests += r
+        hits += h
+        access_total += a
+        origin_bytes += node.link.demand_bytes + node.link.prefetch_bytes
+    return requests, hits, access_total, origin_bytes
+
+
+def segments_from_rows(rows, *, first: str = "start") -> tuple[FaultSegment, ...]:
+    """Per-segment KPI deltas between consecutive cumulative rows.
+
+    The first segment runs from t=0 to the first row and is labelled
+    ``first``; each further segment is opened by the row that starts it.
+    Deltas of cumulative counters are exact, so segment hit ratios and
+    mean access times are ratio-of-sums over exactly the requests
+    *measured* (post-warmup) inside the segment.
+    """
+    segments = []
+    prev_t, prev_req, prev_hits, prev_access = 0.0, 0, 0, 0.0
+    prev_origin = 0.0
+    opened_by, opened_node = first, -1
+    for row in rows:
+        d_req = row.requests - prev_req
+        d_hits = row.hits - prev_hits
+        d_access = row.access_total - prev_access
+        segments.append(
+            FaultSegment(
+                start=prev_t,
+                end=row.time,
+                kind=opened_by,
+                node=opened_node,
+                requests=d_req,
+                hits=d_hits,
+                mean_access_time=(
+                    d_access / d_req if d_req else float("nan")
+                ),
+                origin_bytes=row.origin_bytes - prev_origin,
+            )
+        )
+        prev_t, prev_req = row.time, row.requests
+        prev_hits, prev_access = row.hits, row.access_total
+        prev_origin = row.origin_bytes
+        opened_by, opened_node = row.kind, row.node
+    return tuple(segments)
+
+
 class FaultRuntime:
     """Applies one schedule to one live simulation; collects the timeline.
 
@@ -462,20 +521,8 @@ class FaultRuntime:
     # ------------------------------------------------------------------
     # KPI timeline
     # ------------------------------------------------------------------
-    def _counters(self) -> tuple[int, int, float, float]:
-        requests = hits = 0
-        access_total = 0.0
-        origin_bytes = 0.0
-        for node in self.sim.nodes:
-            r, h, a = node.collector.timeline_counters()
-            requests += r
-            hits += h
-            access_total += a
-            origin_bytes += node.link.demand_bytes + node.link.prefetch_bytes
-        return requests, hits, access_total, origin_bytes
-
     def _record_row(self, ev: FaultEvent) -> None:
-        requests, hits, access_total, origin_bytes = self._counters()
+        requests, hits, access_total, origin_bytes = tier_counters(self.sim)
         self.timeline.append(
             FaultTimelineRow(
                 time=self.sim.env.now,
@@ -494,7 +541,7 @@ class FaultRuntime:
     def finalize(self) -> tuple[FaultTimelineRow, ...]:
         """Close the timeline with the end-of-run row; call after the
         event loop drains (``env.now == duration``)."""
-        requests, hits, access_total, origin_bytes = self._counters()
+        requests, hits, access_total, origin_bytes = tier_counters(self.sim)
         self.timeline.append(
             FaultTimelineRow(
                 time=self.sim.config.duration,

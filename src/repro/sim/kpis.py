@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from math import ceil, floor, inf, log10
 from typing import Sequence
 
-from repro.sim.faults import FaultSegment, FaultTimelineRow
+from repro.sim.faults import FaultSegment, FaultTimelineRow, segments_from_rows
 
 __all__ = [
     "QuantileSketch",
@@ -260,33 +260,7 @@ class RunKPIs:
         requests *measured* (post-warmup) inside the segment.  Empty for
         fault-free runs.
         """
-        segments = []
-        prev_t, prev_req, prev_hits, prev_access = 0.0, 0, 0, 0.0
-        prev_origin = 0.0
-        opened_by, opened_node = "start", -1
-        for row in self.fault_timeline:
-            d_req = row.requests - prev_req
-            d_hits = row.hits - prev_hits
-            d_access = row.access_total - prev_access
-            segments.append(
-                FaultSegment(
-                    start=prev_t,
-                    end=row.time,
-                    kind=opened_by,
-                    node=opened_node,
-                    requests=d_req,
-                    hits=d_hits,
-                    mean_access_time=(
-                        d_access / d_req if d_req else float("nan")
-                    ),
-                    origin_bytes=row.origin_bytes - prev_origin,
-                )
-            )
-            prev_t, prev_req = row.time, row.requests
-            prev_hits, prev_access = row.hits, row.access_total
-            prev_origin = row.origin_bytes
-            opened_by, opened_node = row.kind, row.node
-        return tuple(segments)
+        return segments_from_rows(self.fault_timeline)
 
     def scorecard_rows(self) -> list[tuple[str, str]]:
         """Rendered (label, value) rows for reports and the CLI."""

@@ -41,6 +41,7 @@ clients would hand a requester a transfer that fills someone else's cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Hashable, Iterator, KeysView
 
 from repro.des.events import Event
@@ -53,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim builds nodes)
     from repro.sim.simulation import Simulation
 
 __all__ = ["FetchTable", "FetchTableStats", "PendingFetch", "ProxyNode"]
+
+
+def _never_ending_phase(t: float) -> tuple[int, float]:
+    """``PhaseSchedule.locate`` of a stationary run: one phase, no end."""
+    return 0, inf
 
 
 @dataclass(slots=True)
@@ -329,7 +335,8 @@ class ProxyNode:
         )
 
     # ------------------------------------------------------------------
-    # The per-client request path (shared by both arrival drivers)
+    # The per-client request path (shared by the synthetic and the trace
+    # replay driver)
     # ------------------------------------------------------------------
     def request_handler(self, client_id: int, controller):
         """Build ``handle_request(item)`` for one homed client.
@@ -525,166 +532,71 @@ class ProxyNode:
     # Synthetic arrival driver (trace replay runs through one merged
     # Simulation-level driver instead: recorded order IS time order)
     # ------------------------------------------------------------------
-    def client_process(self, client_id: int, source, controller):
-        """Synthetic driver: Poisson-timed requests from the Markov source."""
-        sim = self.sim
-        spec = sim.config.workload
-        arrivals = spec.make_arrivals(client_id)
-        arrival_rng = sim.streams.get(f"client{client_id}/arrivals")
-        handle_request = self.request_handler(client_id, controller)
-
-        # Batched reference stream: bit-identical to per-request
-        # next_item() because the items RNG is dedicated per client.
-        items = source.stream()
-        while True:
-            yield self.env.timeout(arrivals.next_gap(arrival_rng))
-            item = next(items)
-            # Open-loop arrivals: requests are spawned, not awaited, so the
-            # request rate is unaffected by congestion or prefetching —
-            # exactly the paper's §2.1 assumption.
-            self.env.process(handle_request(item))
-
-    def phased_client_process(
-        self,
-        client_id: int,
-        controller,
-        *,
-        schedule,
-        item_streams,
-    ):
-        """Phase-aware synthetic driver (``WorkloadSpec.phases`` set).
-
-        Arrivals form a piecewise-homogeneous Poisson process: gaps are
-        drawn from the phase covering the current time, and a draw that
-        would cross the phase boundary is discarded — the driver sleeps
-        to the boundary (a real event on the loop, ``env.at(end)``) and
-        redraws at the new phase's rate, which is exactly correct by
-        memorylessness.  Items come from the arrival phase's item variant
-        (``item_streams`` is one iterator per variant).
-
-        Arrival times accumulate absolutely (``t = t + gap``) and are
-        awaited via ``env.at(t)``; since ``env.now`` at a wake equals the
-        stored heap time exactly, this schedules heap entries bit-equal
-        to :meth:`client_process`'s ``timeout(gap)`` chain.  With a
-        single phase ``locate`` reports ``end = inf`` — no boundary ever
-        fires, and the run is bit-identical to :meth:`client_process`
-        under a pre-scaled rate (pinned by tests).
-        """
-        sim = self.sim
-        spec = sim.config.workload
-        env = self.env
-        phase_arrivals = spec.make_phase_arrivals(schedule, client_id)
-        arrival_rng = sim.streams.get(f"client{client_id}/arrivals")
-        handle_request = self.request_handler(client_id, controller)
-        variant_of_phase = schedule.variant_of_phase
-        locate = schedule.locate
-
-        t = env.now
-        while True:
-            idx, end = locate(t)
-            t2 = t + phase_arrivals[idx].next_gap(arrival_rng)
-            if t2 > end:
-                t = end
-                yield env.at(end)
-                continue
-            t = t2
-            yield env.at(t)
-            item = next(item_streams[variant_of_phase[idx]])
-            # Open-loop arrivals, same as client_process.
-            env.process(handle_request(item))
-
-    def class_process(
+    def arrival_process(
         self,
         rep_id: int,
         controller,
         *,
+        label: str,
         arrivals,
-        arrival_rng,
-        items,
-        block: int = 256,
+        sources,
+        schedule=None,
+        block: int,
     ):
-        """Aggregated synthetic driver: one process per client *class*.
+        """Synthetic driver of one client, or of one client *class*.
 
-        Instead of one generator resume per request, the driver pre-draws
-        a NumPy block of inter-arrival gaps, accumulates them into absolute
-        arrival times and pushes the whole block onto the event heap with
-        the request-spawn callback attached (``env.call_at``); it then
-        sleeps until the block's last arrival and refills.  Per request the
-        loop pays one heap pop + one callback — the driver generator wakes
-        ``1/block`` as often as the per-client driver.
+        A client is a class of size one, so one driver serves both client
+        backends.  ``arrivals`` holds one arrival process per phase and
+        ``sources`` one reference source per item variant; a stationary
+        run (``schedule=None``) is one phase that never ends.  The RNG
+        streams are named ``{label}/...``.
 
-        Equivalence: gaps accumulate sequentially (``t = t + gap``), which
-        reproduces the per-client driver's repeated ``timeout(gap)``
-        schedule bit-exactly, and ``arrivals.gaps(rng, n)`` consumes the
-        RNG bit stream exactly like ``n`` scalar ``next_gap`` calls — so a
-        singleton class is *bit-identical* to :meth:`client_process` (the
-        over-drawn trailing gaps touch a stream nothing else reads).  Items
-        are taken from ``items`` in arrival order, one per in-horizon
-        arrival, same as the per-client driver.
+        Block scheduling: the driver pre-draws ``block`` inter-arrival
+        gaps at the current phase's rate, accumulates them into absolute
+        arrival times (``t = t + gap``) and pushes each arrival onto the
+        event heap with the request-spawn callback attached
+        (``env.call_at``); it then sleeps until the block's last arrival
+        and refills.  Items are taken from the phase's item variant in
+        arrival order, one per in-horizon arrival.  Arrivals are spawned,
+        never awaited: open-loop, exactly the paper's §2.1 assumption.
+
+        Phases: arrivals form a piecewise-homogeneous Poisson process.  A
+        block that crosses the phase boundary is cut there — arrivals
+        already pushed stay (they are before the boundary), the rest of
+        the block is discarded — and the driver sleeps to the boundary
+        (``env.at(end)``) before redrawing at the new phase's rate, which
+        is exactly correct by memorylessness.  The discarded tail touches
+        only this entity's dedicated arrivals stream, so nothing else
+        shifts.
+
+        Equivalence: ``env.now`` at a wake equals the stored heap time,
+        so accumulated absolute times give heap entries bit-equal to a
+        chain of ``timeout(gap)`` calls, and ``arrivals.gaps(rng, n)``
+        consumes the RNG bit stream exactly like ``n`` scalar
+        ``next_gap`` calls.  A block of 1 (the per-client backend) draws
+        with the scalar ``next_gap`` and discards nothing but the one gap
+        that crosses a boundary.  A block of 256 (the aggregated backend)
+        wakes the driver ``1/256`` as often; with a single phase no block
+        is ever cut, so a singleton class is bit-identical to the
+        per-client backend (pinned by tests), but a multi-phase run cuts
+        blocks and discards up to 255 draws per boundary.
         """
         env = self.env
+        sim = self.sim
         handle_request = self.request_handler(rep_id, controller)
         spawn_process = env.process
         call_at = env.call_at
-        duration = self.sim.config.duration
-
-        def dispatch(event):
-            # Open-loop spawn, same as client_process: arrivals are never
-            # delayed by congestion.
-            spawn_process(handle_request(event.value))
-
-        t = env.now
-        while True:
-            gaps = arrivals.gaps(arrival_rng, block)
-            last = None
-            # tolist(): python floats, same doubles — event times must not
-            # leak numpy scalars into metrics/hashing downstream.
-            for gap in gaps.tolist():
-                t = t + gap
-                if t > duration:
-                    # Past the horizon: run(until=duration) would never
-                    # process this (or any later) arrival, so stop
-                    # scheduling — the heap stays proportional to one
-                    # block, not to the overdraw.
-                    return
-                last = call_at(t, dispatch, next(items))
-            if last is not None:
-                yield last
-
-    def phased_class_process(
-        self,
-        rep_id: int,
-        controller,
-        *,
-        schedule,
-        phase_arrivals,
-        arrival_rng,
-        item_streams,
-        block: int = 256,
-    ):
-        """Phase-aware aggregated driver (``WorkloadSpec.phases`` set).
-
-        Same block-scheduling structure as :meth:`class_process`, but gaps
-        are drawn at the current phase's class rate and items from the
-        phase's item variant.  A block that crosses the phase boundary is
-        cut there: arrivals already pushed stay (they are before the
-        boundary), the rest of the block is discarded, and the driver
-        sleeps to the boundary (``env.at(end)``) before redrawing at the
-        new rate — the same memoryless restart as the per-client phased
-        driver, block-sized.  The discarded tail touches only this
-        class's dedicated arrivals stream, so nothing else shifts.
-
-        With a single phase ``end = inf``: no block is ever cut, and the
-        loop body is step-for-step :meth:`class_process` at the scaled
-        rate (pinned bit-identical by tests).
-        """
-        env = self.env
-        handle_request = self.request_handler(rep_id, controller)
-        spawn_process = env.process
-        call_at = env.call_at
-        duration = self.sim.config.duration
-        variant_of_phase = schedule.variant_of_phase
-        locate = schedule.locate
+        duration = sim.config.duration
+        # Created lazily, when the driver first runs, so that building
+        # thousands of per-client drivers stays cheap.
+        arrival_rng = sim.streams.get(f"{label}/arrivals")
+        item_streams = tuple(source.stream() for source in sources)
+        if schedule is None:
+            locate = _never_ending_phase
+            variant_of_phase = (0,)
+        else:
+            locate = schedule.locate
+            variant_of_phase = schedule.variant_of_phase
 
         def dispatch(event):
             spawn_process(handle_request(event.value))
@@ -693,28 +605,33 @@ class ProxyNode:
         while True:
             idx, end = locate(t)
             items = item_streams[variant_of_phase[idx]]
-            gaps = phase_arrivals[idx].gaps(arrival_rng, block)
-            last = None
-            crossed = False
-            for gap in gaps.tolist():
+            if block == 1:
+                gaps = (arrivals[idx].next_gap(arrival_rng),)
+            else:
+                # tolist(): python floats, same doubles — event times must
+                # not leak numpy scalars into metrics/hashing downstream.
+                gaps = arrivals[idx].gaps(arrival_rng, block).tolist()
+            for gap in gaps:
                 t2 = t + gap
                 if t2 > end:
-                    crossed = True
                     break
                 if t2 > duration:
+                    # Past the horizon: run(until=duration) would never
+                    # process this (or any later) arrival, so stop
+                    # scheduling — the heap stays proportional to one
+                    # block, not to the overdraw.
                     return
                 t = t2
                 last = call_at(t, dispatch, next(items))
-            if crossed:
-                if end >= duration:
-                    return
-                t = end
-                # Sleep to the boundary: arrivals already scheduled fire
-                # on their own, and the redraw starts in the new phase.
-                yield env.at(end)
-                continue
-            if last is not None:
+            else:
                 yield last
+                continue
+            if end >= duration:
+                return
+            t = end
+            # Sleep to the boundary: arrivals already scheduled fire on
+            # their own, and the redraw starts in the new phase.
+            yield env.at(end)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

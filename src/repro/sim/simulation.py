@@ -41,7 +41,6 @@ a shard (its homed clients' requests, its link's utilisation) and
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -80,7 +79,6 @@ from repro.sim.metrics import (
     MetricsCollector,
     SimulationMetrics,
     aggregate_snapshots,
-    finalize_aggregate,
 )
 from repro.sim.node import ProxyNode
 from repro.sim.parallel import (
@@ -88,7 +86,6 @@ from repro.sim.parallel import (
     get_default_node_backend,
     plan_node_partition,
     run_node_shards,
-    run_windows,
 )
 from repro.workload.aggregate import AggregateClassSource, partition_client_classes
 from repro.workload.arrivals import PoissonArrivals
@@ -98,6 +95,12 @@ from repro.workload.replay import TraceReplaySource
 from repro.workload.zipf import shared_catalog
 
 __all__ = ["Simulation", "run_simulation", "SimulationOutput", "ProxyShardStats"]
+
+#: arrivals drawn per driver wake, by client backend: the per-client
+#: backend draws one gap at a time (a phase boundary discards only the gap
+#: that crosses it); a class draws blocks, which keeps its heap footprint
+#: and driver wakes low at 100k-1M clients
+_ARRIVAL_BLOCK = {"per-client": 1, "aggregated": 256}
 
 
 class _TrueDistributionPredictor(Predictor):
@@ -149,19 +152,12 @@ def _build_policy(
     config: SimulationConfig,
     estimator: ThresholdEstimator,
     *,
-    bandwidth: float | None = None,
-    cache_capacity: int | None = None,
-    request_rate: float | None = None,
+    bandwidth: float,
+    cache_capacity: int,
+    request_rate: float,
 ) -> PrefetchPolicy:
     name = config.policy
     params = dict(config.policy_params)
-    bandwidth = config.bandwidth if bandwidth is None else bandwidth
-    cache_capacity = (
-        config.cache_capacity if cache_capacity is None else cache_capacity
-    )
-    request_rate = (
-        config.workload.request_rate if request_rate is None else request_rate
-    )
     if name == "none":
         return NoPrefetchPolicy()
     if name == "threshold-static":
@@ -318,6 +314,15 @@ class Simulation:
         self.nodes[0].origin = origin
         for node in self.nodes[1:]:
             node.origin = origin.with_link(node.link)
+        #: the nodes whose clients this build realises — every node for a
+        #: full build, only its own for a shard-group worker.  Skipping a
+        #: foreign client is *exact*, not an approximation: RNG streams
+        #: are name-keyed (seed + stream name, not draw order), so the
+        #: owned clients draw identical randomness with or without their
+        #: neighbours, and the per-node event order of the serial global
+        #: heap projects unchanged onto the shard's isolated heap (no
+        #: shared state, relative insertion order preserved).
+        self._owned: set[int] = set(range(len(self.nodes)))
         if self.only_nodes is not None:
             for node_id in self.only_nodes:
                 if not 0 <= node_id < len(self.nodes):
@@ -325,12 +330,12 @@ class Simulation:
                         f"only_nodes contains unknown proxy {node_id} "
                         f"(num_proxies={len(self.nodes)})"
                     )
-            owned = set(self.only_nodes)
+            self._owned = set(self.only_nodes)
             for node in self.nodes:
                 # Foreign skeleton nodes must stay inert: any event that
                 # would drive one inside this worker is a partition bug,
                 # and the node itself raises on it (see ProxyNode).
-                node.shard_local = node.node_id in owned
+                node.shard_local = node.node_id in self._owned
         self._bind_router()
         #: the fault runtime of a fault-injected run (None otherwise);
         #: installed after the client build so its routing rebinds wrap
@@ -341,6 +346,9 @@ class Simulation:
         #: homogeneous classes of an aggregated-backend run, aligned
         #: index-for-index with ``clients``/``_caches`` (empty per-client)
         self.client_classes = []
+        #: ``(build-order index, node id, class or None)`` per built
+        #: entity, aligned with ``clients``/``_caches``
+        self._built: list[tuple] = []
         if self.only_nodes is None and self._resolve_node_backend() == "parallel":
             plan = plan_node_partition(config)
             if plan.parallel:
@@ -525,216 +533,133 @@ class Simulation:
             return self.replay.num_clients
         return self.config.workload.num_clients
 
-    def _owns_node(self, node_id: int) -> bool:
-        """Whether this build realises the given node's clients.
+    def _build_entities(self) -> list[tuple]:
+        """``(node id, representative, stream label, rate, class)`` per
+        build entity, in build order.
 
-        Always true for a full build; a shard-group worker realises only
-        its own nodes.  Skipping a foreign client is *exact*, not an
-        approximation: RNG streams are name-keyed (seed + stream name, not
-        draw order), so the owned clients draw identical randomness with
-        or without their neighbours, and the per-node event order of the
-        serial global heap projects unchanged onto the shard's isolated
-        heap (no shared state, relative insertion order preserved).
+        The aggregated backend builds the homogeneous classes of
+        :func:`partition_client_classes`; the per-client backend is the
+        singleton partition in client-id order, with the per-client stream
+        label ``client{c}`` and no class object (its output carries no
+        class rows).
         """
-        return self.only_nodes is None or node_id in self._owned_set
-
-    @property
-    def _owned_set(self) -> set[int]:
-        owned = self.__dict__.get("_owned_cache")
-        if owned is None:
-            owned = self.__dict__["_owned_cache"] = set(self.only_nodes or ())
-        return owned
-
-    def _build_clients(self) -> None:
         config = self.config
         if config.client_backend == "aggregated":
-            self._build_aggregated()
-            return
+            return [
+                (cls.node_id, cls.representative, cls.stream_label,
+                 cls.request_rate, cls)
+                for cls in partition_client_classes(config.workload, config.topology)
+            ]
+        home_of = config.topology.home_of
+        rate_of = config.workload.rate_of
+        return [
+            (home_of(c), c, f"client{c}", rate_of(c), None)
+            for c in range(self.num_clients)
+        ]
+
+    def _entity_sources(self, rep: int, label: str, cls, schedule):
+        """The reference sources and arrival processes of one entity.
+
+        Returns ``(source, sources, arrivals)``: the source the predictor
+        sees, one source per item variant and one arrival process per
+        phase (one of each for a stationary run).  A client — or a
+        singleton class — uses the exact per-client machinery and RNG
+        streams; a multi-member class merges its members' k Poisson(λ)
+        processes into one Poisson(kλ) process and draws its merged
+        reference stream from an :class:`AggregateClassSource`.
+        """
+        spec = self.config.workload
+        streams = self.streams
+        if cls is None or cls.singleton:
+            if schedule is None:
+                source = spec.make_source(rep, streams)
+                return source, (source,), (spec.make_arrivals(rep),)
+            sources = spec.make_phase_sources(rep, streams, schedule)
+            arrivals = spec.make_phase_arrivals(schedule, rep)
+        else:
+            if schedule is None:
+                catalogs = (shared_catalog(cls.catalog_size, cls.zipf_exponent),)
+                names = (f"{label}/items",)
+                multipliers = (1.0,)
+            else:
+                # One merged source per item variant, each with its own
+                # dedicated RNG stream (base variant keeps the unphased
+                # name).  Per-member chain state is per variant —
+                # acceptable, since multi-member item aggregation is
+                # already approximate for q > 0.
+                catalogs = schedule.variant_catalogs(
+                    catalog_size=cls.catalog_size,
+                    zipf_exponent=cls.zipf_exponent,
+                )
+                names = schedule.stream_names(f"{label}/items")
+                multipliers = schedule.multipliers
+            sources = tuple(
+                AggregateClassSource(
+                    catalog,
+                    num_members=cls.size,
+                    follow_probability=cls.follow_probability,
+                    rng=streams.get(name),
+                )
+                for catalog, name in zip(catalogs, names)
+            )
+            arrivals = tuple(
+                PoissonArrivals(cls.request_rate * m) for m in multipliers
+            )
+            if schedule is None:
+                return sources[0], sources, arrivals
+        # The predictor sees a clock-aware view that delegates to the
+        # active item variant.
+        view = PhasedSourceView(sources, schedule, lambda: self.env.now)
+        return view, sources, arrivals
+
+    def _build_clients(self) -> None:
+        """Build every client — or client class — and start its driver.
+
+        One loop over the build entities of :meth:`_build_entities`,
+        warmup processes first.  Each entity gets a predictor, cache,
+        policy and controller on its home node, attached under its
+        representative's client id, so routing, fetch tables and shard
+        accounting never see the backend.  Its arrivals come from
+        :meth:`~repro.sim.node.ProxyNode.arrival_process` — block size 1
+        on the per-client backend, 256 on the aggregated one — or, when
+        replaying a trace, from the one merged :meth:`_trace_driver`.
+        """
+        config = self.config
         topo = config.topology
         spec = config.workload
-        handlers: dict[int, object] = {}
-        # Piecewise-stationary time structure (None = the stationary code
-        # path, untouched by the phases feature).
+        owned = self._owned
+        # Piecewise-stationary time structure (None = stationary).
         schedule = spec.make_schedule()
         for node in self.nodes:
-            if not self._owns_node(node.node_id):
-                continue
-            self.env.process(node.collector.warmup_process())
+            if node.node_id in owned:
+                self.env.process(node.collector.warmup_process())
+        # A shard worker builds only its nodes' entities; the *full*
+        # entity list still feeds the node-rate arithmetic below so
+        # policies see the same floats as a serial build.
+        entities = self._build_entities()
         # Offered rate per node: a static threshold policy must see the
         # load its *own* uplink carries, not the whole tier's — the tier
         # aggregate would inflate its rho estimate num_proxies-fold.  One
-        # proxy keeps the spec's exact aggregate (seed bit-identity).
-        # Under phases the planner sees the *time-averaged* offered load
-        # (single-phase: exactly the multiplied rate).
+        # proxy keeps the spec's exact aggregate (seed bit-identity);
+        # otherwise entity rates sum in build order.  Under phases the
+        # planner sees the *time-averaged* offered load (single-phase:
+        # exactly the multiplied rate).
         avg_mult = 1.0 if schedule is None else schedule.average_multiplier()
         if topo.num_proxies == 1:
             node_rates = [spec.request_rate * avg_mult]
         else:
             node_rates = [0.0] * topo.num_proxies
-            for c in range(self.num_clients):
-                node_rates[topo.home_of(c)] += spec.rate_of(c) * avg_mult
-        for c in range(self.num_clients):
-            node = self.nodes[topo.home_of(c)]
-            if not self._owns_node(node.node_id):
+            for node_id, _rep, _label, rate, _cls in entities:
+                node_rates[node_id] += rate * avg_mult
+        block = _ARRIVAL_BLOCK[config.client_backend]
+        handlers: dict[int, object] = {}
+        for index, (node_id, rep, label, _rate, cls) in enumerate(entities):
+            if node_id not in owned:
                 continue
-            if schedule is None:
-                source = spec.make_source(c, self.streams)
-                phase_sources = None
-            else:
-                # One source per item variant; the predictor sees a
-                # clock-aware view that delegates to the active variant.
-                phase_sources = spec.make_phase_sources(c, self.streams, schedule)
-                source = PhasedSourceView(
-                    phase_sources, schedule, lambda: self.env.now
-                )
-            predictor = _build_predictor(config, source)
-            estimator = ThresholdEstimator(
-                node.bandwidth, cache_size=float(node.cache_capacity)
+            node = self.nodes[node_id]
+            source, sources, arrivals = self._entity_sources(
+                rep, label, cls, schedule
             )
-            cache = make_cache(
-                config.cache_policy,
-                node.cache_capacity,
-                rng=self.streams.get(f"client{c}/evictions"),
-                value_fn=lambda key, p=predictor: p.probability(key),
-            )
-            policy = _build_policy(
-                config,
-                estimator,
-                bandwidth=node.bandwidth,
-                cache_capacity=node.cache_capacity,
-                request_rate=node_rates[node.node_id],
-            )
-            controller = PrefetchController(
-                predictor=predictor,
-                policy=policy,
-                cache=cache,
-                bandwidth=node.bandwidth,
-                estimator=estimator,
-            )
-            table = node.attach_client(c, controller=controller, cache=cache)
-            # The planner consults the unified table: items being demand-
-            # fetched are as in-flight as the controller's own prefetches.
-            controller.attach_fetch_table(table)
-            self.clients.append(controller)
-            self._caches.append(cache)
-            if self.replay is not None:
-                handlers[c] = node.request_handler(c, controller)
-            elif schedule is None:
-                self.env.process(node.client_process(c, source, controller))
-            else:
-                self.env.process(
-                    node.phased_client_process(
-                        c,
-                        controller,
-                        schedule=schedule,
-                        item_streams=tuple(s.stream() for s in phase_sources),
-                    )
-                )
-        if self.replay is not None:
-            self.env.process(self._trace_driver(handlers))
-
-    def _build_aggregated(self) -> None:
-        """Aggregated backend: one controller/cache/driver per client *class*.
-
-        Mirrors ``_build_clients`` structurally — warmup processes first,
-        then the per-entity build loop in ascending id order — but iterates
-        over the homogeneous classes of :func:`partition_client_classes`
-        instead of individual clients.  A class is *attached to its node
-        under its representative's client id* (lowest member), so routing,
-        fetch tables and shard accounting are untouched; singleton classes
-        reuse the per-client RNG stream names and draw order, which makes
-        them bit-identical to the per-client backend (pinned by tests).
-        """
-        config = self.config
-        topo = config.topology
-        spec = config.workload
-        schedule = spec.make_schedule()
-        for node in self.nodes:
-            if not self._owns_node(node.node_id):
-                continue
-            self.env.process(node.collector.warmup_process())
-        classes = partition_client_classes(spec, topo)
-        # A shard worker keeps only its nodes' classes in the aligned
-        # clients/_caches/client_classes lists; the *full* class list still
-        # feeds the node-rate arithmetic below so policies see the same
-        # floats as a serial build.
-        self.client_classes = [
-            cls for cls in classes if self._owns_node(cls.node_id)
-        ]
-        # Offered rate per node, mirroring the per-client loop: one proxy
-        # keeps the spec's exact aggregate; otherwise sum class rates in
-        # representative (= lowest client id) order, which for singleton
-        # classes is the identical float-summation order as the
-        # per-client loop — same policy inputs bit-for-bit.  Phases scale
-        # the planner's view by the time-averaged multiplier, exactly as
-        # the per-client build does.
-        avg_mult = 1.0 if schedule is None else schedule.average_multiplier()
-        if topo.num_proxies == 1:
-            node_rates = [spec.request_rate * avg_mult]
-        else:
-            node_rates = [0.0] * topo.num_proxies
-            for cls in classes:
-                node_rates[cls.node_id] += cls.request_rate * avg_mult
-        for cls in classes:
-            if not self._owns_node(cls.node_id):
-                continue
-            node = self.nodes[cls.node_id]
-            rep = cls.representative
-            label = cls.stream_label
-            phase_sources = phase_arrivals = None
-            if cls.singleton:
-                # One member: the exact per-client machinery (and RNG
-                # streams — label == f"client{rep}").
-                if schedule is None:
-                    source = spec.make_source(rep, self.streams)
-                    arrivals = spec.make_arrivals(rep)
-                else:
-                    phase_sources = spec.make_phase_sources(
-                        rep, self.streams, schedule
-                    )
-                    phase_arrivals = spec.make_phase_arrivals(schedule, rep)
-                    source = PhasedSourceView(
-                        phase_sources, schedule, lambda: self.env.now
-                    )
-            else:
-                # Poisson superposition: k members at rate λ merge into
-                # one Poisson(kλ) arrival process; the merged reference
-                # stream comes from the class source.
-                if schedule is None:
-                    source = AggregateClassSource(
-                        shared_catalog(cls.catalog_size, cls.zipf_exponent),
-                        num_members=cls.size,
-                        follow_probability=cls.follow_probability,
-                        rng=self.streams.get(f"{label}/items"),
-                    )
-                    arrivals = PoissonArrivals(cls.request_rate)
-                else:
-                    # One merged source per item variant, each with its
-                    # own dedicated RNG stream (base variant keeps the
-                    # unphased name).  Per-member chain state is per
-                    # variant — acceptable, since multi-member item
-                    # aggregation is already approximate for q > 0.
-                    catalogs = schedule.variant_catalogs(
-                        catalog_size=cls.catalog_size,
-                        zipf_exponent=cls.zipf_exponent,
-                    )
-                    names = schedule.stream_names(f"{label}/items")
-                    phase_sources = tuple(
-                        AggregateClassSource(
-                            catalog,
-                            num_members=cls.size,
-                            follow_probability=cls.follow_probability,
-                            rng=self.streams.get(name),
-                        )
-                        for catalog, name in zip(catalogs, names)
-                    )
-                    phase_arrivals = tuple(
-                        PoissonArrivals(cls.request_rate * m)
-                        for m in schedule.multipliers
-                    )
-                    source = PhasedSourceView(
-                        phase_sources, schedule, lambda: self.env.now
-                    )
             predictor = _build_predictor(config, source)
             estimator = ThresholdEstimator(
                 node.bandwidth, cache_size=float(node.cache_capacity)
@@ -750,7 +675,7 @@ class Simulation:
                 estimator,
                 bandwidth=node.bandwidth,
                 cache_capacity=node.cache_capacity,
-                request_rate=node_rates[node.node_id],
+                request_rate=node_rates[node_id],
             )
             controller = PrefetchController(
                 predictor=predictor,
@@ -760,30 +685,30 @@ class Simulation:
                 estimator=estimator,
             )
             table = node.attach_client(rep, controller=controller, cache=cache)
+            # The planner consults the unified table: items being demand-
+            # fetched are as in-flight as the controller's own prefetches.
             controller.attach_fetch_table(table)
             self.clients.append(controller)
             self._caches.append(cache)
-            if schedule is None:
-                self.env.process(
-                    node.class_process(
-                        rep,
-                        controller,
-                        arrivals=arrivals,
-                        arrival_rng=self.streams.get(f"{label}/arrivals"),
-                        items=source.stream(),
-                    )
-                )
+            self._built.append((index, node_id, cls))
+            if cls is not None:
+                self.client_classes.append(cls)
+            if self.replay is not None:
+                handlers[rep] = node.request_handler(rep, controller)
             else:
                 self.env.process(
-                    node.phased_class_process(
+                    node.arrival_process(
                         rep,
                         controller,
+                        label=label,
+                        arrivals=arrivals,
+                        sources=sources,
                         schedule=schedule,
-                        phase_arrivals=phase_arrivals,
-                        arrival_rng=self.streams.get(f"{label}/arrivals"),
-                        item_streams=tuple(s.stream() for s in phase_sources),
+                        block=block,
                     )
                 )
+        if self.replay is not None:
+            self.env.process(self._trace_driver(handlers))
 
     def _trace_driver(self, handlers):
         """Replay driver: one process walking the merged trace in recorded
@@ -806,145 +731,61 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationOutput:
+        """Run to ``config.duration`` and assemble the output.
+
+        Serial and parallel runs share one assembly: the serial loop
+        freezes its nodes into the same per-node payloads the parallel
+        backend's workers ship back (:meth:`run_shard`).
+        """
         if self._plan is not None:
-            return self._run_parallel()
-        self.env.run(until=self.config.duration)
-        shards = tuple(
-            ProxyShardStats(
-                node_id=node.node_id,
-                clients=tuple(node.clients),
-                metrics=node.collector.finalize(),
-                bandwidth=node.bandwidth,
-                link_demand_fetches=node.link.demand_fetches,
-                link_prefetch_fetches=node.link.prefetch_fetches,
-                link_prefetch_bytes=node.link.prefetch_bytes,
-                link_demand_bytes=node.link.demand_bytes,
-                peer_fetches=(
-                    node.peer_link.peer_fetches if node.peer_link else 0
-                ),
-                peer_bytes=(
-                    node.peer_link.peer_bytes if node.peer_link else 0.0
-                ),
+            payloads = run_node_shards(
+                self.config, self._plan, workers=self._node_workers
             )
-            for node in self.nodes
-        )
-        if len(shards) == 1:
-            metrics = shards[0].metrics
-        else:
-            metrics = finalize_aggregate([n.collector for n in self.nodes])
-        class_rows = tuple(
-            ClientClassStats(
-                class_id=cls.class_id,
-                node_id=cls.node_id,
-                num_members=cls.size,
-                representative=cls.representative,
-                request_rate=cls.request_rate,
-                requests=controller.stats.requests,
-                cache_hits=cache.stats.hits,
-                cache_misses=cache.stats.misses,
-                prefetches_issued=controller.stats.prefetches_issued,
-                prefetches_completed=controller.stats.prefetches_completed,
-            )
-            for cls, controller, cache in zip(
-                self.client_classes, self.clients, self._caches
-            )
-        )
-        demand_bytes = sum(s.link_demand_bytes for s in shards)
-        prefetch_bytes = sum(s.link_prefetch_bytes for s in shards)
-        peer_bytes = sum(s.peer_bytes for s in shards)
+            return self._assemble(payloads)
+        payloads = self.run_shard()
         fault_timeline = (
             self.fault_runtime.finalize()
             if self.fault_runtime is not None
             else ()
         )
-        kpis = RunKPIs.from_shards(
-            tuple(node.collector.kpi_shard(node.node_id) for node in self.nodes),
-            demand_bytes=demand_bytes,
-            prefetch_bytes=prefetch_bytes,
-            peer_bytes=peer_bytes,
-            fault_timeline=fault_timeline,
-        )
-        return SimulationOutput(
-            metrics=metrics,
-            cache_stats=[c.stats for c in self._caches],
-            controller_stats=[c.stats for c in self.clients],
-            link_demand_fetches=sum(s.link_demand_fetches for s in shards),
-            link_prefetch_fetches=sum(s.link_prefetch_fetches for s in shards),
-            link_prefetch_bytes=prefetch_bytes,
-            link_demand_bytes=demand_bytes,
-            per_proxy=shards,
-            peer_fetches=sum(s.peer_fetches for s in shards),
-            peer_bytes=peer_bytes,
-            client_classes=class_rows,
-            kpis=kpis,
-        )
+        return self._assemble(payloads, fault_timeline)
 
-    # ------------------------------------------------------------------
-    # Parallel node backend (PR 9)
-    # ------------------------------------------------------------------
     def run_shard(self, *, window: float | None = None) -> list[NodeShardPayload]:
-        """Run a shard-group build to completion; return per-node payloads.
+        """Run this build to completion; return one payload per owned node.
 
-        The worker half of the parallel node backend: the event loop
-        advances through :func:`~repro.sim.parallel.run_windows` — one
-        conservative window at a time when the partition derived a finite
-        lookahead, one single window (no barriers) for fully-decoupled
-        groups — and every node this build owns is frozen into a picklable
-        :class:`~repro.sim.parallel.NodeShardPayload`.  Window-bounded
-        draining is bit-identical to one straight ``run`` (pinned at the
-        environment level), so the payloads never depend on the window.
+        The serial loop and each worker of the parallel node backend end
+        here: ``env.run(until=duration)``, then every node this build owns
+        is frozen into a picklable
+        :class:`~repro.sim.parallel.NodeShardPayload`.  Entity rows are
+        keyed by their global build-order index, so the assembly can
+        re-interleave the shards of a parallel run into the serial order.
+        ``window`` is unused; it is kept so existing callers that pass it
+        keep working.
         """
-        duration = self.config.duration
-        if window is None or not math.isfinite(window) or window <= 0:
-            window = duration
-        run_windows(self.env, until=duration, window=window)
-        owned = (
-            self.only_nodes
-            if self.only_nodes is not None
-            else tuple(range(len(self.nodes)))
-        )
-        if self.config.client_backend == "aggregated":
-            # Build-order key = class id (partition order IS build order).
-            entity_rows = {
-                node_id: [] for node_id in owned
-            }
-            for cls, controller, cache in zip(
-                self.client_classes, self.clients, self._caches
-            ):
-                entity_rows[cls.node_id].append(
-                    (cls.class_id, cache.stats, controller.stats)
-                )
-        else:
-            # Build-order key = client id (ascending-id build loop).
-            entity_rows = {node_id: [] for node_id in owned}
-            for node_id in owned:
-                node = self.nodes[node_id]
-                entity_rows[node_id] = [
-                    (client_id, cache.stats, controller.stats)
-                    for client_id, cache, controller in zip(
-                        node.clients, node.caches, node.controllers
-                    )
-                ]
-        class_rows = {node_id: [] for node_id in owned}
-        for cls, controller, cache in zip(
-            self.client_classes, self.clients, self._caches
+        self.env.run(until=self.config.duration)
+        entity_rows = {node_id: [] for node_id in self._owned}
+        class_rows = {node_id: [] for node_id in self._owned}
+        for (index, node_id, cls), controller, cache in zip(
+            self._built, self.clients, self._caches
         ):
-            class_rows[cls.node_id].append(
-                ClientClassStats(
-                    class_id=cls.class_id,
-                    node_id=cls.node_id,
-                    num_members=cls.size,
-                    representative=cls.representative,
-                    request_rate=cls.request_rate,
-                    requests=controller.stats.requests,
-                    cache_hits=cache.stats.hits,
-                    cache_misses=cache.stats.misses,
-                    prefetches_issued=controller.stats.prefetches_issued,
-                    prefetches_completed=controller.stats.prefetches_completed,
+            entity_rows[node_id].append((index, cache.stats, controller.stats))
+            if cls is not None:
+                class_rows[node_id].append(
+                    ClientClassStats(
+                        class_id=cls.class_id,
+                        node_id=cls.node_id,
+                        num_members=cls.size,
+                        representative=cls.representative,
+                        request_rate=cls.request_rate,
+                        requests=controller.stats.requests,
+                        cache_hits=cache.stats.hits,
+                        cache_misses=cache.stats.misses,
+                        prefetches_issued=controller.stats.prefetches_issued,
+                        prefetches_completed=controller.stats.prefetches_completed,
+                    )
                 )
-            )
         payloads = []
-        for node_id in owned:
+        for node_id in sorted(self._owned):
             node = self.nodes[node_id]
             payloads.append(
                 NodeShardPayload(
@@ -969,20 +810,17 @@ class Simulation:
             )
         return payloads
 
-    def _run_parallel(self) -> SimulationOutput:
-        """Dispatch the partitioned tier to workers; merge exactly.
+    @staticmethod
+    def _assemble(payloads, fault_timeline=()) -> SimulationOutput:
+        """Merge per-node payloads into the run's output, exactly.
 
-        Reassembles the serial :meth:`run` output bit-for-bit from the
-        shipped payloads: shards in node order, the tier aggregate through
-        the same :func:`~repro.sim.metrics.aggregate_snapshots` arithmetic
-        the serial path uses, per-entity stats lists re-interleaved by
-        their global build-order keys, and KPIs from the per-node shards
-        exactly as the serial path computes them.
+        Shards in node order, the tier aggregate through
+        :func:`~repro.sim.metrics.aggregate_snapshots`, per-entity stats
+        lists re-interleaved by their global build-order keys, and KPIs
+        from the per-node shards.  The result does not depend on whether
+        the payloads came from one serial loop or from worker processes.
         """
-        payloads = run_node_shards(
-            self.config, self._plan, workers=self._node_workers
-        )
-        payloads.sort(key=lambda p: p.node_id)
+        payloads = sorted(payloads, key=lambda p: p.node_id)
         shards = tuple(
             ProxyShardStats(
                 node_id=p.node_id,
@@ -998,10 +836,7 @@ class Simulation:
             )
             for p in payloads
         )
-        if len(shards) == 1:
-            metrics = shards[0].metrics
-        else:
-            metrics = aggregate_snapshots([p.snapshot for p in payloads])
+        metrics = aggregate_snapshots([p.snapshot for p in payloads])
         entity_rows = sorted(
             (row for p in payloads for row in p.entity_rows),
             key=lambda row: row[0],
@@ -1020,6 +855,7 @@ class Simulation:
             demand_bytes=demand_bytes,
             prefetch_bytes=prefetch_bytes,
             peer_bytes=peer_bytes,
+            fault_timeline=fault_timeline,
         )
         return SimulationOutput(
             metrics=metrics,

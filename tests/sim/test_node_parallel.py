@@ -1,12 +1,9 @@
-"""Conservative parallel node backend (PR 9): bit-identity and protocol.
+"""Parallel node backend (PR 9): partition planner and bit-identity.
 
-Three layers of coverage:
+Two layers of coverage:
 
-* the **protocol primitives** — ``Environment.run_window`` window
-  splitting, the ``ShardMessage`` merge order, ``run_windows`` barrier
-  loop — pinned against their serial equivalents;
 * the **partition planner** — which configs shard into singleton groups
-  (infinite lookahead) and which collapse into one coupled group with
+  (independent nodes) and which collapse into one coupled group with
   named reasons, plus the oversubscription guard on the worker fan-out;
 * the **cross-backend determinism fuzz** — a spread of seeded configs
   (topologies x routing x cooperation x phases x client backends) where
@@ -27,22 +24,16 @@ import pytest
 import test_topology  # same-directory test module: pinned seed scenario
 
 import repro.sim.parallel as parallel_mod
-from repro.des.environment import Environment
 from repro.errors import SimulationError
 from repro.network.topology import CooperationConfig, TopologyConfig
 from repro.scenario import ScenarioError, compile_config, parse_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.kpis import QuantileSketch
-from repro.sim.metrics import aggregate_snapshots
 from repro.sim.parallel import (
-    ShardMessage,
-    deliver_messages,
     effective_node_workers,
     get_default_node_backend,
-    merge_message_batches,
     node_backend_session,
     plan_node_partition,
-    run_windows,
     set_default_node_backend,
 )
 from repro.sim.simulation import Simulation, run_simulation
@@ -87,158 +78,7 @@ def assert_outputs_identical(a, b):
 
 
 # ----------------------------------------------------------------------
-# Protocol primitives: run_window / messages / run_windows
-# ----------------------------------------------------------------------
-
-
-def _scripted_env(log):
-    """An environment with interleaved processes and timers to drain."""
-    env = Environment()
-
-    def ticker(period, label, count):
-        for _ in range(count):
-            yield env.timeout(period)
-            log.append((env.now, label))
-
-    env.process(ticker(0.7, "a", 12))
-    env.process(ticker(1.1, "b", 8))
-    env.process(ticker(0.7, "c", 12))  # ties with "a" at every multiple
-    env.call_at(3.5, lambda event: log.append((env.now, "timer")))
-    return env
-
-
-def test_run_window_matches_run():
-    serial_log, window_log = [], []
-    serial = _scripted_env(serial_log)
-    serial.run(until=9.0)
-    windowed = _scripted_env(window_log)
-    deadline, processed = 0.0, 0
-    while deadline < 9.0:
-        deadline = min(deadline + 0.9, 9.0)  # boundaries hit event times too
-        processed += windowed.run_window(deadline)
-    assert window_log == serial_log
-    assert windowed.now == serial.now == 9.0
-    # one single window processes exactly the same number of events
-    single_log = []
-    single = _scripted_env(single_log)
-    assert single.run_window(9.0) == processed
-    assert single_log == serial_log
-    # a coarser, irregular split pattern lands on identical history too
-    third_log = []
-    third = _scripted_env(third_log)
-    for stop in (0.35, 0.7, 2.0, 2.0, 8.999, 9.0):
-        third.run_window(stop)
-    assert third_log == serial_log
-
-
-def test_run_window_rejects_past_deadline():
-    env = Environment()
-    env.run_window(2.0)
-    with pytest.raises(SimulationError, match="in the past"):
-        env.run_window(1.0)
-
-
-def test_run_window_returns_processed_count():
-    log = []
-    env = Environment()
-    for t in (0.5, 1.5, 2.5):
-        env.call_at(t, lambda event: log.append(env.now))
-    assert env.run_window(1.0) == 1
-    assert env.run_window(2.0) == 1
-    assert env.run_window(2.4) == 0
-    assert env.run_window(3.0) == 1
-    assert log == [0.5, 1.5, 2.5]
-
-
-def test_merge_message_batches_deterministic_total_order():
-    def msg(time, priority, sender, seq, payload=None):
-        return ShardMessage(
-            time=time, priority=priority, sender=sender, seq=seq, payload=payload
-        )
-
-    batch_a = [msg(1.0, 0, 0, 0), msg(2.0, 0, 0, 1), msg(2.0, 1, 0, 2)]
-    batch_b = [msg(1.0, 0, 1, 0), msg(2.0, 0, 1, 1)]
-    merged = merge_message_batches([batch_a, batch_b])
-    assert [m.key for m in merged] == [
-        (1.0, 0, 0, 0),
-        (1.0, 0, 1, 0),
-        (2.0, 0, 0, 1),
-        (2.0, 0, 1, 1),
-        (2.0, 1, 0, 2),
-    ]
-    # batch arrival order (worker completion order) cannot change the merge
-    flipped = merge_message_batches([batch_b, batch_a])
-    assert flipped == merged
-
-
-def test_deliver_messages_fires_in_merge_order():
-    env = Environment()
-    fired = []
-    messages = merge_message_batches(
-        [
-            [ShardMessage(1.0, 0, 1, 0, payload="s1#0")],
-            [
-                ShardMessage(1.0, 0, 0, 0, payload="s0#0"),
-                ShardMessage(1.0, 0, 0, 1, payload="s0#1"),
-                ShardMessage(2.0, 0, 0, 2, payload="late"),
-            ],
-        ]
-    )
-    deliver_messages(env, messages, lambda m: fired.append((env.now, m.payload)))
-    env.run(until=3.0)
-    assert fired == [
-        (1.0, "s0#0"),
-        (1.0, "s0#1"),
-        (1.0, "s1#0"),
-        (2.0, "late"),
-    ]
-
-
-def test_run_windows_barrier_loop_with_drain():
-    env = Environment()
-    fired = []
-    barriers = []
-    inbox = {
-        0.0: [],
-        1.5: [ShardMessage(2.0, 0, 1, 0, payload="w1")],
-        3.0: [ShardMessage(4.0, 0, 1, 1, payload="w2")],
-        4.5: [],
-    }
-
-    def drain(now):
-        barriers.append(now)
-        return inbox.get(now, [])
-
-    windows = run_windows(
-        env,
-        until=6.0,
-        window=1.5,
-        drain=drain,
-        handler=lambda m: fired.append((env.now, m.payload)),
-    )
-    assert windows == 4
-    assert barriers == [0.0, 1.5, 3.0, 4.5]
-    assert fired == [(2.0, "w1"), (4.0, "w2")]
-    assert env.now == 6.0
-
-
-def test_run_windows_single_window_for_infinite_lookahead():
-    env = Environment()
-    hits = []
-    env.call_at(2.0, lambda event: hits.append(env.now))
-    assert run_windows(env, until=5.0, window=math.inf) == 1
-    assert hits == [2.0]
-    assert env.now == 5.0
-
-
-def test_run_windows_rejects_degenerate_window():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="window must be > 0"):
-            run_windows(Environment(), until=1.0, window=bad)
-
-
-# ----------------------------------------------------------------------
-# Partition planner and lookahead analysis
+# Partition planner
 # ----------------------------------------------------------------------
 
 
@@ -268,7 +108,6 @@ def fuzz_config(**overrides):
 def test_plan_decoupled_tier_shards_per_node():
     plan = plan_node_partition(fuzz_config())
     assert plan.groups == ((0,), (1,), (2,))
-    assert plan.window == math.inf
     assert plan.reasons == ()
     assert plan.parallel
 
@@ -314,30 +153,6 @@ def test_plan_coupled_tiers_collapse_with_reason(overrides, reason_fragment):
     assert plan.groups == ((0, 1, 2),)
     assert not plan.parallel
     assert any(reason_fragment in r for r in plan.reasons)
-
-
-def test_lookahead_channels():
-    coop = TopologyConfig(
-        num_proxies=2,
-        cooperation=CooperationConfig(
-            mode="owner-probe", probe_latency=0.004, peer_bandwidth=100.0
-        ),
-    )
-    analysis = coop.lookahead(mean_item_size=1.0)
-    channels = dict(analysis.channels)
-    assert channels["probe"] == pytest.approx(0.004)
-    assert channels["peer-transfer"] == pytest.approx(1.0 / 100.0)
-    assert "probe-state-read" in analysis.zero_channels
-    assert analysis.window == 0.0  # the state-read channel pins it at zero
-
-    decoupled = TopologyConfig(num_proxies=4).lookahead(mean_item_size=1.0)
-    assert decoupled.channels == ()
-    assert decoupled.window == math.inf
-
-    hashed = TopologyConfig(num_proxies=2, routing="item-hash").lookahead(
-        mean_item_size=1.0
-    )
-    assert hashed.zero_channels == ("remote-uplink-dispatch",)
 
 
 # ----------------------------------------------------------------------
@@ -411,23 +226,6 @@ def test_only_nodes_rejects_unknown_proxy():
 
     with pytest.raises(ConfigurationError, match="unknown proxy"):
         Simulation(fuzz_config(), only_nodes=(0, 7))
-
-
-# ----------------------------------------------------------------------
-# Window-split bit-identity at the full-simulation level
-# ----------------------------------------------------------------------
-
-
-def test_sim_window_split_is_bit_identical():
-    config = fuzz_config()
-    serial = run_simulation(config)
-    sharded = Simulation(config, only_nodes=(0, 1, 2))
-    payloads = sharded.run_shard(window=3.7)  # dozens of mid-run barriers
-    assert [p.node_id for p in payloads] == [0, 1, 2]
-    per_node = [p.snapshot.finalize() for p in payloads]
-    assert canon(per_node) == canon([s.metrics for s in serial.per_proxy])
-    merged = aggregate_snapshots([p.snapshot for p in payloads])
-    assert canon(merged) == canon(serial.metrics)
 
 
 # ----------------------------------------------------------------------

@@ -40,27 +40,11 @@ from repro.sim.faults import (
     FaultSchedule,
     FaultTimelineRow,
     segments_from_rows,
-    tier_counters,
+    timeline_row,
 )
 from repro.workload.sessions import WorkloadSpec
 
 __all__ = ["FailureRecoveryExperiment"]
-
-
-def _window_row(time: float, sim) -> FaultTimelineRow:
-    """A fault-free run's tier counters at ``time``, as a timeline row
-    labelled ``window`` (the baseline twin of a fault instant's row)."""
-    requests, hits, access_total, origin_bytes = tier_counters(sim)
-    return FaultTimelineRow(
-        time=time,
-        kind="window",
-        node=-1,
-        requests=requests,
-        hits=hits,
-        access_total=access_total,
-        alive=(),
-        origin_bytes=origin_bytes,
-    )
 
 
 @register
@@ -157,14 +141,22 @@ class FailureRecoveryExperiment(Experiment):
                 # Sample the fault-free run at the SAME instants, so every
                 # faulted segment has a like-for-like baseline window.
                 def snap(event, _samples=samples, _sim=sim):
-                    _samples.append(_window_row(_sim.env.now, _sim))
+                    _samples.append(
+                        timeline_row(
+                            _sim, time=_sim.env.now, kind="window", node=-1
+                        )
+                    )
 
                 for t in fault_times:
                     sim.env.call_at(t, snap)
             output = sim.run()
             kpis = output.kpis
             if schedule is None and fault_times:
-                samples.append(_window_row(base.duration, sim))
+                samples.append(
+                    timeline_row(
+                        sim, time=base.duration, kind="window", node=-1
+                    )
+                )
                 segments = segments_from_rows(samples, first="window")
             else:
                 segments = kpis.fault_segments()

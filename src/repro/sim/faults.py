@@ -67,7 +67,7 @@ __all__ = [
     "FaultSchedule",
     "FaultTimelineRow",
     "FaultRuntime",
-    "tier_counters",
+    "timeline_row",
     "segments_from_rows",
 ]
 
@@ -275,8 +275,17 @@ class FaultSegment:
     origin_bytes: float = 0.0
 
 
-def tier_counters(sim: "Simulation") -> tuple[int, int, float, float]:
-    """Tier-cumulative ``(requests, hits, access-time sum, origin bytes)``.
+def timeline_row(
+    sim: "Simulation",
+    *,
+    time: float,
+    kind: str,
+    node: int,
+    alive: tuple[int, ...] = (),
+    migrated_items: int = 0,
+    migrated_bytes: float = 0.0,
+) -> FaultTimelineRow:
+    """The tier's cumulative measured counters, as one timeline row.
 
     Pure reads of already-maintained counters, summed in node order, so
     sampling them mid-run — at a fault instant or anywhere else — can
@@ -285,13 +294,24 @@ def tier_counters(sim: "Simulation") -> tuple[int, int, float, float]:
     requests = hits = 0
     access_total = 0.0
     origin_bytes = 0.0
-    for node in sim.nodes:
-        r, h, a = node.collector.timeline_counters()
+    for n in sim.nodes:
+        r, h, a = n.collector.timeline_counters()
         requests += r
         hits += h
         access_total += a
-        origin_bytes += node.link.demand_bytes + node.link.prefetch_bytes
-    return requests, hits, access_total, origin_bytes
+        origin_bytes += n.link.demand_bytes + n.link.prefetch_bytes
+    return FaultTimelineRow(
+        time=time,
+        kind=kind,
+        node=node,
+        requests=requests,
+        hits=hits,
+        access_total=access_total,
+        alive=alive,
+        migrated_items=migrated_items,
+        migrated_bytes=migrated_bytes,
+        origin_bytes=origin_bytes,
+    )
 
 
 def segments_from_rows(rows, *, first: str = "start") -> tuple[FaultSegment, ...]:
@@ -428,7 +448,7 @@ class FaultRuntime:
                 plan = self._warm_plan(node)
                 if plan:
                     sim.env.process(self._warm_in(node, plan))
-        self._record_row(ev)
+        self._record_row(self.sim.env.now, ev.kind, ev.node)
 
     # ------------------------------------------------------------------
     # Cooperative shard migration (ROADMAP item (c))
@@ -521,39 +541,21 @@ class FaultRuntime:
     # ------------------------------------------------------------------
     # KPI timeline
     # ------------------------------------------------------------------
-    def _record_row(self, ev: FaultEvent) -> None:
-        requests, hits, access_total, origin_bytes = tier_counters(self.sim)
+    def _record_row(self, time: float, kind: str, node: int) -> None:
         self.timeline.append(
-            FaultTimelineRow(
-                time=self.sim.env.now,
-                kind=ev.kind,
-                node=ev.node,
-                requests=requests,
-                hits=hits,
-                access_total=access_total,
+            timeline_row(
+                self.sim,
+                time=time,
+                kind=kind,
+                node=node,
                 alive=tuple(sorted(self.alive)),
                 migrated_items=self.migrated_items,
                 migrated_bytes=self.migrated_bytes,
-                origin_bytes=origin_bytes,
             )
         )
 
     def finalize(self) -> tuple[FaultTimelineRow, ...]:
         """Close the timeline with the end-of-run row; call after the
         event loop drains (``env.now == duration``)."""
-        requests, hits, access_total, origin_bytes = tier_counters(self.sim)
-        self.timeline.append(
-            FaultTimelineRow(
-                time=self.sim.config.duration,
-                kind="end",
-                node=-1,
-                requests=requests,
-                hits=hits,
-                access_total=access_total,
-                alive=tuple(sorted(self.alive)),
-                migrated_items=self.migrated_items,
-                migrated_bytes=self.migrated_bytes,
-                origin_bytes=origin_bytes,
-            )
-        )
+        self._record_row(self.sim.config.duration, "end", -1)
         return tuple(self.timeline)

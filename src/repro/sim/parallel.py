@@ -371,24 +371,17 @@ class NodeShardPayload:
     """One proxy node's complete share of a run, shipped back to the parent.
 
     Everything ``Simulation.run`` reads off a node after the loop ends,
-    in picklable form: the metrics snapshot (exact aggregation input),
-    the KPI shard, link/peer accounting, and the per-entity stats rows
-    tagged with their global build-order index (client id on the
-    per-client backend, class id on the aggregated backend) so the parent
-    reassembles the serial output's exact list order.
+    in picklable form: the node's output row (its own metrics plus
+    link/peer accounting), the metrics snapshot (exact aggregation
+    input), the KPI shard, and the per-entity stats rows tagged with
+    their global build-order index (client id on the per-client backend,
+    class id on the aggregated backend) so the parent reassembles the
+    serial output's exact list order.
     """
 
-    node_id: int
-    clients: tuple[int, ...]
+    shard: Any  # ProxyShardStats
     snapshot: Any  # MetricsSnapshot
     kpi: Any  # KPIShard
-    bandwidth: float
-    link_demand_fetches: int
-    link_prefetch_fetches: int
-    link_prefetch_bytes: float
-    link_demand_bytes: float
-    peer_fetches: int
-    peer_bytes: float
     #: (global build-order index, cache stats, controller stats) per entity
     entity_rows: tuple = ()
     #: ClientClassStats rows of this node's classes (aggregated backend)

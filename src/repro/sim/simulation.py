@@ -787,23 +787,28 @@ class Simulation:
         payloads = []
         for node_id in sorted(self._owned):
             node = self.nodes[node_id]
+            snapshot = node.collector.snapshot()
+            shard = ProxyShardStats(
+                node_id=node.node_id,
+                clients=tuple(node.clients),
+                metrics=snapshot.finalize(),
+                bandwidth=node.bandwidth,
+                link_demand_fetches=node.link.demand_fetches,
+                link_prefetch_fetches=node.link.prefetch_fetches,
+                link_prefetch_bytes=node.link.prefetch_bytes,
+                link_demand_bytes=node.link.demand_bytes,
+                peer_fetches=(
+                    node.peer_link.peer_fetches if node.peer_link else 0
+                ),
+                peer_bytes=(
+                    node.peer_link.peer_bytes if node.peer_link else 0.0
+                ),
+            )
             payloads.append(
                 NodeShardPayload(
-                    node_id=node.node_id,
-                    clients=tuple(node.clients),
-                    snapshot=node.collector.snapshot(),
+                    shard=shard,
+                    snapshot=snapshot,
                     kpi=node.collector.kpi_shard(node.node_id),
-                    bandwidth=node.bandwidth,
-                    link_demand_fetches=node.link.demand_fetches,
-                    link_prefetch_fetches=node.link.prefetch_fetches,
-                    link_prefetch_bytes=node.link.prefetch_bytes,
-                    link_demand_bytes=node.link.demand_bytes,
-                    peer_fetches=(
-                        node.peer_link.peer_fetches if node.peer_link else 0
-                    ),
-                    peer_bytes=(
-                        node.peer_link.peer_bytes if node.peer_link else 0.0
-                    ),
                     entity_rows=tuple(entity_rows[node_id]),
                     class_rows=tuple(class_rows[node_id]),
                 )
@@ -820,22 +825,8 @@ class Simulation:
         from the per-node shards.  The result does not depend on whether
         the payloads came from one serial loop or from worker processes.
         """
-        payloads = sorted(payloads, key=lambda p: p.node_id)
-        shards = tuple(
-            ProxyShardStats(
-                node_id=p.node_id,
-                clients=p.clients,
-                metrics=p.snapshot.finalize(),
-                bandwidth=p.bandwidth,
-                link_demand_fetches=p.link_demand_fetches,
-                link_prefetch_fetches=p.link_prefetch_fetches,
-                link_prefetch_bytes=p.link_prefetch_bytes,
-                link_demand_bytes=p.link_demand_bytes,
-                peer_fetches=p.peer_fetches,
-                peer_bytes=p.peer_bytes,
-            )
-            for p in payloads
-        )
+        payloads = sorted(payloads, key=lambda p: p.shard.node_id)
+        shards = tuple(p.shard for p in payloads)
         metrics = aggregate_snapshots([p.snapshot for p in payloads])
         entity_rows = sorted(
             (row for p in payloads for row in p.entity_rows),

@@ -43,7 +43,7 @@ __all__ = [
     "resolve_jobs",
     "get_default_jobs",
     "set_default_jobs",
-    # parallel node backend (PR 9)
+    # parallel node backend
     "NodePartition",
     "NodeShardPayload",
     "plan_node_partition",
@@ -175,7 +175,7 @@ class ReplicationExecutor:
 
 
 # ======================================================================
-# Parallel node backend (PR 9)
+# Parallel node backend
 # ======================================================================
 #
 # ``node_backend="parallel"`` splits one simulation's proxy tier into

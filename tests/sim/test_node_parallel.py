@@ -1,4 +1,4 @@
-"""Parallel node backend (PR 9): partition planner and bit-identity.
+"""Parallel node backend: partition planner and bit-identity.
 
 Two layers of coverage:
 

@@ -14,7 +14,10 @@ for rarely-seen successors.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter, deque
+from itertools import islice
+from operator import itemgetter
 from typing import Hashable
 
 from repro.errors import ParameterError
@@ -56,6 +59,10 @@ class MarkovPredictor(Predictor):
         self._recent: deque[Item] = deque(maxlen=order)
         self._popularity: Counter = Counter()
         self._total = 0
+        # successors of each predicted context sorted by str(item), ties in
+        # first-seen order: predict's tie-break order, kept up to date
+        # lazily (tables only ever gain keys, and gain them at the end)
+        self._by_label: dict[tuple, list[Item]] = {}
 
     # ------------------------------------------------------------------
     def record(self, item: Item) -> None:
@@ -71,6 +78,8 @@ class MarkovPredictor(Predictor):
         self._recent.append(item)
 
     def _distribution(self) -> list[tuple[Item, float]]:
+        """The backed-off successor distribution, most probable first,
+        ties by ``str(item)`` and then first-seen order."""
         history = tuple(self._recent)
         for k in range(min(self.order, len(history)), -1, -1):
             ctx = history[len(history) - k :] if k else ()
@@ -78,14 +87,25 @@ class MarkovPredictor(Predictor):
             if table:
                 alpha = self.smoothing
                 total = sum(table.values()) + alpha * len(table)
-                return [
-                    (item, (count + alpha) / total) for item, count in table.items()
+                dist = [
+                    (item, (table[item] + alpha) / total)
+                    for item in self._labelled(k, ctx, table)
                 ]
+                # stable, so equal probabilities keep the label order
+                dist.sort(key=itemgetter(1), reverse=True)
+                return dist
         return []
+
+    def _labelled(self, k: int, ctx: tuple, table: Counter) -> list[Item]:
+        """``table``'s keys sorted by ``str``, ties in insertion order."""
+        ranked = self._by_label.setdefault((k, ctx), [])
+        if len(ranked) < len(table):
+            for item in islice(table, len(ranked), None):
+                insort(ranked, item, key=str)
+        return ranked
 
     def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
         dist = self._distribution()
-        dist.sort(key=lambda pair: (-pair[1], str(pair[0])))
         return dist[:limit] if limit is not None else dist
 
     def reset(self) -> None:

@@ -66,6 +66,4 @@ class AdaptiveUtilizationPolicy(PrefetchPolicy):
         self, candidates: Sequence[Candidate], context: PolicyContext
     ) -> list[Candidate]:
         cut = self.cutoff(context.estimated_utilization)
-        chosen = [(i, p) for i, p in context.eligible(candidates) if p > cut]
-        chosen.sort(key=lambda pair: -pair[1])
-        return chosen
+        return context.eligible_above(candidates, cut)

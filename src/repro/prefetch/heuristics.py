@@ -56,9 +56,7 @@ class FixedThresholdPolicy(PrefetchPolicy):
     def select(
         self, candidates: Sequence[Candidate], context: PolicyContext
     ) -> list[Candidate]:
-        chosen = [(i, p) for i, p in context.eligible(candidates) if p > self.p0]
-        chosen.sort(key=lambda pair: -pair[1])
-        return chosen
+        return context.eligible_above(candidates, self.p0)
 
 
 class TopKPolicy(PrefetchPolicy):

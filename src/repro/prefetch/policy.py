@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Sequence
 
 __all__ = ["PrefetchPolicy", "PolicyContext"]
@@ -59,6 +60,25 @@ class PolicyContext:
             if item not in self.in_cache and item not in self.in_flight
         ]
 
+    def eligible_above(
+        self, candidates: Sequence[Candidate], cutoff: float
+    ) -> list[Candidate]:
+        """Eligible candidates with ``p > cutoff``, most probable first
+        (ties keep candidate order).
+
+        The cutoff is tested before membership, so the cache and the
+        pending-fetch view are probed only for items that clear it.
+        """
+        in_cache = self.in_cache
+        in_flight = self.in_flight
+        chosen = [
+            (item, p)
+            for item, p in candidates
+            if p > cutoff and item not in in_cache and item not in in_flight
+        ]
+        chosen.sort(key=itemgetter(1), reverse=True)
+        return chosen
+
 
 class _Never:
     """Default membership: nothing is cached/in-flight."""
@@ -87,7 +107,8 @@ class PrefetchPolicy(ABC):
 
         ``candidates`` is the predictor's ``(item, probability)`` list,
         descending.  Implementations should start from
-        ``context.eligible(candidates)``.
+        ``context.eligible(candidates)``, or from
+        ``context.eligible_above(candidates, cutoff)`` for a cutoff rule.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -74,10 +74,7 @@ class StaticThresholdPolicy(PrefetchPolicy):
     def select(
         self, candidates: Sequence[Candidate], context: PolicyContext
     ) -> list[Candidate]:
-        chosen = [
-            (item, p) for item, p in context.eligible(candidates) if p > self.p_th
-        ]
-        chosen.sort(key=lambda pair: -pair[1])
+        chosen = context.eligible_above(candidates, self.p_th)
         return chosen[: self.budget] if self.budget is not None else chosen
 
 
@@ -130,10 +127,7 @@ class DynamicThresholdPolicy(PrefetchPolicy):
         p_th = self.current_threshold()
         if math.isnan(p_th):
             return []  # warm-up: abstain rather than guess
-        chosen = [
-            (item, p) for item, p in context.eligible(candidates) if p > p_th
-        ]
-        chosen.sort(key=lambda pair: -pair[1])
+        chosen = context.eligible_above(candidates, p_th)
         if self.budget is not None:
             chosen = chosen[: self.budget]
         self._prefetches_issued += len(chosen)

@@ -71,6 +71,67 @@ class TestMarkov:
         total = sum(prob for _, prob in p.predict())
         assert total <= 1.0 + 1e-9
 
+    def test_predict_ties_break_by_label_then_first_seen(self):
+        p = MarkovPredictor(order=0)
+        # all counts equal: str order is "10" < "2" < "9"; int 10 was seen
+        # before str "10", so it comes first among the equal labels
+        p.warm_up([9, 10, 2, "10"])
+        assert [(type(i), i) for i, _ in p.predict()] == [
+            (int, 10), (str, "10"), (int, 2), (int, 9)
+        ]
+        p.record(2)
+        assert [i for i, _ in p.predict()][0] == 2
+
+    def test_predict_tracks_successors_added_after_a_prediction(self):
+        p = MarkovPredictor(order=1)
+        p.warm_up(["a", "c", "a"])
+        assert [i for i, _ in p.predict()] == ["c"]
+        p.warm_up(["b", "a", "b", "a"])  # after 'a': c, b, b
+        assert p.predict() == [("b", 2.0 / 3.0), ("c", 1.0 / 3.0)]
+        p.warm_up(["a"])  # after 'a': c, b, b, a
+        assert [i for i, _ in p.predict()] == ["b", "a", "c"]
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 3),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.lists(
+            st.lists(
+                st.sampled_from([0, 1, 2, 9, 10, 11, "1", "10", "a", 2.5]),
+                min_size=1,
+                max_size=25,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_predict_matches_full_sort_by_probability_then_label(
+        self, order, smoothing, chunks
+    ):
+        """After every chunk, predict() equals the whole successor table
+        sorted on ``(-p, str(item))`` with first-seen order for ties."""
+        p = MarkovPredictor(order=order, smoothing=smoothing)
+        history: list = []
+        for chunk in chunks:
+            p.warm_up(chunk)
+            history += chunk
+            expected = []
+            for k in range(min(order, len(history)), -1, -1):
+                ctx = tuple(history[len(history) - k :]) if k else ()
+                table: dict = {}
+                for pos in range(k, len(history)):
+                    if tuple(history[pos - k : pos]) == ctx:
+                        table[history[pos]] = table.get(history[pos], 0) + 1
+                if table:
+                    total = sum(table.values()) + smoothing * len(table)
+                    expected = [(i, (c + smoothing) / total) for i, c in table.items()]
+                    expected.sort(key=lambda pair: (-pair[1], str(pair[0])))
+                    break
+            got = p.predict()
+            assert [(type(i), i, q) for i, q in got] == [
+                (type(i), i, q) for i, q in expected
+            ]
+
 
 class TestPPM:
     def test_learns_cycle(self):

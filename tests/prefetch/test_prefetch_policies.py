@@ -36,6 +36,36 @@ class TestContextFiltering:
     def test_default_memberships_empty(self):
         assert ctx().eligible(CANDIDATES) == CANDIDATES
 
+    def test_eligible_above_is_strict_and_most_probable_first(self):
+        candidates = [("d", 0.05), ("b", 0.5), ("x", 0.5), ("a", 0.9), ("c", 0.3)]
+        context = ctx(in_cache={"a"}, in_flight={"c"})
+        # ties keep candidate order; p == cutoff is excluded
+        assert context.eligible_above(candidates, 0.05) == [("b", 0.5), ("x", 0.5)]
+        assert context.eligible_above(candidates, 0.5) == []
+
+    def test_eligible_above_probes_only_items_over_the_cutoff(self):
+        probed = []
+
+        class Recording:
+            def __contains__(self, item):
+                probed.append(item)
+                return False
+
+        context = ctx(in_cache=Recording(), in_flight=Recording())
+        assert context.eligible_above(CANDIDATES, 0.4) == CANDIDATES[:2]
+        assert probed == ["a", "a", "b", "b"]
+
+    @pytest.mark.parametrize("cutoff", [-1.0, 0.0, 0.05, 0.3, 0.7, 1.0])
+    def test_eligible_above_equals_eligible_then_cutoff(self, cutoff):
+        candidates = [
+            ("e", 0.3), ("a", 0.9), ("f", 0.05), ("b", 0.3), ("c", 0.0),
+            ("g", 0.7), ("h", 0.3), ("i", 0.05),
+        ]
+        context = ctx(in_cache={"b", "f"}, in_flight={"g"})
+        expected = [(i, p) for i, p in context.eligible(candidates) if p > cutoff]
+        expected.sort(key=lambda pair: -pair[1])
+        assert context.eligible_above(candidates, cutoff) == expected
+
 
 class TestHeuristics:
     def test_none_policy(self):

@@ -29,6 +29,7 @@ from repro.network.topology import CooperationConfig, TopologyConfig
 from repro.scenario import ScenarioError, compile_config, parse_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.kpis import QuantileSketch
+from repro.sim.metrics import aggregate_snapshots
 from repro.sim.parallel import (
     effective_node_workers,
     get_default_node_backend,
@@ -226,6 +227,20 @@ def test_only_nodes_rejects_unknown_proxy():
 
     with pytest.raises(ConfigurationError, match="unknown proxy"):
         Simulation(fuzz_config(), only_nodes=(0, 7))
+
+
+def test_sim_window_split_is_bit_identical():
+    """``run_shard(window=...)`` is accepted for callers that still pass
+    it and changes nothing: each node's shard equals the serial run."""
+    config = fuzz_config()
+    serial = run_simulation(config)
+    sharded = Simulation(config, only_nodes=(0, 1, 2))
+    payloads = sharded.run_shard(window=3.7)
+    assert [p.shard.node_id for p in payloads] == [0, 1, 2]
+    per_node = [p.snapshot.finalize() for p in payloads]
+    assert canon(per_node) == canon([s.metrics for s in serial.per_proxy])
+    merged = aggregate_snapshots([p.snapshot for p in payloads])
+    assert canon(merged) == canon(serial.metrics)
 
 
 # ----------------------------------------------------------------------

@@ -17,13 +17,15 @@ the related-work section surveys so the full simulation is self-contained:
   upper bound (TIP/ACFS stand-in [8, 2]).
 
 All predictors are *online*: ``record(item)`` observes one access,
-``predict()`` returns ``(item, probability)`` candidates for the next one.
+``predict()`` returns ``(item, probability)`` candidates for the next one,
+and ``ranked()`` returns the same candidates for planning (see
+:meth:`Predictor.ranked`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 __all__ = ["Predictor"]
 
@@ -48,6 +50,17 @@ class Predictor(ABC):
         most 1 over all candidates); sorted descending.  ``limit`` truncates
         after sorting.
         """
+
+    def ranked(self) -> Iterable[tuple[Item, float]]:
+        """The :meth:`predict` candidates, most probable first, for planning.
+
+        A predictor that keeps its candidates ranked may return a view
+        instead of a list: iterating it yields ``(item, p)`` in
+        :meth:`predict` order, and its ``above(cutoff)`` returns the prefix
+        with ``p > cutoff`` without reading the rest.  The default is
+        ``predict()``'s list.
+        """
+        return self.predict()
 
     def probability(self, item: Item) -> float:
         """Point query for one item's next-access probability."""

@@ -37,6 +37,7 @@ class AdaptiveUtilizationPolicy(PrefetchPolicy):
     """
 
     name = "adaptive-utilization"
+    reads_utilization = True
 
     def __init__(
         self,

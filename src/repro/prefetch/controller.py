@@ -22,7 +22,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
@@ -229,13 +228,10 @@ class PrefetchController:
         Marks returned items in-flight — the caller *must* eventually call
         :meth:`on_fetch_complete` or :meth:`on_fetch_failed` for each.
         """
-        candidates = self.predictor.predict()
+        candidates = self.predictor.ranked()
         context = PolicyContext(
             now=now,
             bandwidth=self.bandwidth,
-            estimated_threshold=(
-                self.estimator.threshold() if self.estimator is not None else math.nan
-            ),
             estimated_utilization=estimated_utilization,
             in_cache=self.cache,
             in_flight=self._pending_view,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable
 
 __all__ = ["PrefetchPolicy", "PolicyContext"]
 
@@ -34,11 +34,9 @@ class PolicyContext:
         Current time.
     bandwidth:
         Configured link capacity ``b``.
-    estimated_threshold:
-        Live ``p̂_th`` from :class:`repro.estimation.ThresholdEstimator`
-        (NaN while estimates are warming up).
     estimated_utilization:
-        Live ``ρ̂`` including prefetch traffic (NaN if unknown).
+        Live ``ρ̂`` including prefetch traffic (NaN if unknown, and NaN
+        unless the policy sets :attr:`PrefetchPolicy.reads_utilization`).
     in_cache:
         Membership test for the client's cache (don't prefetch a hit).
     in_flight:
@@ -47,12 +45,11 @@ class PolicyContext:
 
     now: float
     bandwidth: float
-    estimated_threshold: float = float("nan")
     estimated_utilization: float = float("nan")
     in_cache: "CallableMembership" = field(default_factory=lambda: _Never())
     in_flight: "CallableMembership" = field(default_factory=lambda: _Never())
 
-    def eligible(self, candidates: Sequence[Candidate]) -> list[Candidate]:
+    def eligible(self, candidates: Iterable[Candidate]) -> list[Candidate]:
         """Filter out cached and in-flight items (applies to every policy)."""
         return [
             (item, p)
@@ -61,16 +58,27 @@ class PolicyContext:
         ]
 
     def eligible_above(
-        self, candidates: Sequence[Candidate], cutoff: float
+        self, candidates: Iterable[Candidate], cutoff: float
     ) -> list[Candidate]:
         """Eligible candidates with ``p > cutoff``, most probable first
         (ties keep candidate order).
 
         The cutoff is tested before membership, so the cache and the
-        pending-fetch view are probed only for items that clear it.
+        pending-fetch view are probed only for items that clear it.  A
+        ranked view (see :meth:`repro.predictors.base.Predictor.ranked`)
+        is read through its ``above(cutoff)``, which stops at the first
+        candidate at or below the cutoff; any other iterable is filtered
+        whole and sorted.
         """
         in_cache = self.in_cache
         in_flight = self.in_flight
+        above = getattr(candidates, "above", None)
+        if above is not None:
+            return [
+                (item, p)
+                for item, p in above(cutoff)
+                if item not in in_cache and item not in in_flight
+            ]
         chosen = [
             (item, p)
             for item, p in candidates
@@ -96,17 +104,21 @@ class PrefetchPolicy(ABC):
 
     #: machine name used in experiment tables
     name = "abstract"
+    #: whether :meth:`select` reads ``context.estimated_utilization``; the
+    #: load estimate is computed for a plan only when this is set
+    reads_utilization = False
 
     @abstractmethod
     def select(
         self,
-        candidates: Sequence[Candidate],
+        candidates: Iterable[Candidate],
         context: PolicyContext,
     ) -> list[Candidate]:
         """Choose the items to prefetch *now*.
 
-        ``candidates`` is the predictor's ``(item, probability)`` list,
-        descending.  Implementations should start from
+        ``candidates`` is the predictor's ranked ``(item, probability)``
+        candidates, descending (a list, or a ranked view; iterate it, do
+        not index it).  Implementations should start from
         ``context.eligible(candidates)``, or from
         ``context.eligible_above(candidates, cutoff)`` for a cutoff rule.
         """

@@ -41,7 +41,7 @@ clients would hand a requester a transfer that fills someone else's cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, nan
 from typing import TYPE_CHECKING, Hashable, Iterator, KeysView
 
 from repro.des.events import Event
@@ -512,10 +512,15 @@ class ProxyNode:
             # The load estimate is routing-aware (sim.planning_load):
             # under item-hash routing a planned prefetch traverses the
             # item owner's link, not this node's, so throttling on the
-            # home link alone would misread the tier.
+            # home link alone would misread the tier.  It is computed only
+            # for a policy that reads it.
             chosen = controller.plan(
                 now=env.now,
-                estimated_utilization=sim.planning_load(self),
+                estimated_utilization=(
+                    sim.planning_load(self)
+                    if controller.policy.reads_utilization
+                    else nan
+                ),
             )
             fresh = [(it, p) for it, p in chosen if it not in table]
             for it, _p in chosen:

@@ -18,6 +18,7 @@ Four groups:
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -411,6 +412,32 @@ class TestPlanningLoad:
         for i, node in enumerate(sim.nodes):
             node.link.offered_load = lambda i=i: float(i)
         assert [sim.planning_load(n) for n in sim.nodes] == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("policy", ["adaptive", "threshold-dynamic"])
+    def test_load_is_computed_only_for_a_policy_that_reads_it(self, policy):
+        topo = TopologyConfig(num_proxies=3, routing="item-hash")
+        sim = Simulation(shard_config(topology=topo, policy=policy, duration=20.0))
+        tier_mean = sim.planning_load
+        loads = []
+
+        def counted(node):
+            loads.append(tier_mean(node))
+            return loads[-1]
+
+        sim.planning_load = counted
+        seen = []
+        for controller in sim.clients:
+            def plan(*, now, estimated_utilization, inner=controller.plan):
+                seen.append(estimated_utilization)
+                return inner(now=now, estimated_utilization=estimated_utilization)
+
+            controller.plan = plan
+        sim.run()
+        assert seen
+        if policy == "adaptive":
+            assert seen == loads and not any(math.isnan(u) for u in seen)
+        else:
+            assert loads == [] and all(math.isnan(u) for u in seen)
 
 
 class TestOriginSubstitution:
